@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"agingpred/internal/adapt"
 	"agingpred/internal/core"
 	"agingpred/internal/evalx"
 	"agingpred/internal/experiments"
@@ -375,6 +376,73 @@ func BenchmarkTrainM5P(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRetrain measures one adaptive retrain: core.Train on a full
+// supervisor buffer (adapt.DefaultMaxBufferedRuns runs) that adapt.Streams
+// collected from a fleet.Specs population, with the fleet's training runs as
+// the seed, as a drift-triggered retrain in agingfleet -adaptive sees it.
+// The buffer is collected once outside the timed loop.
+func BenchmarkRetrain(b *testing.B) {
+	model, runs := retrainBuffer(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Train(model.Config(), runs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// retrainBuffer steps a 64-instance fleet.Specs population through adaptive
+// streams for a simulated day, restarting each crashed instance and
+// censoring every stream every 6 simulated hours, as perfbench's component
+// probe does. It returns the base model and the supervisor's buffer: the
+// last adapt.DefaultMaxBufferedRuns runs the streams collected.
+func retrainBuffer(b *testing.B) (*core.Model, []*monitor.Series) {
+	b.Helper()
+	series, err := fleet.TrainingSeries(benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := core.Train(core.Config{}, series)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sup, err := adapt.NewSupervisor(adapt.Config{Seed: series}, model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs := fleet.Specs(benchSeed, 64)
+	replays := make([]*fleet.Replay, len(specs))
+	streams := make([]*adapt.Stream, len(specs))
+	for i, spec := range specs {
+		replays[i] = fleet.NewReplay(benchSeed, spec)
+		streams[i] = sup.NewStream(fmt.Sprintf("bench/%d", i))
+	}
+	const censorEvery = 6 * 3600 / 15
+	var cp monitor.Checkpoint
+	for tick := 1; tick <= 24*3600/15; tick++ {
+		for i, rp := range replays {
+			if !rp.Step(&cp) {
+				if _, err := streams[i].Observe(cp); err != nil {
+					b.Fatal(err)
+				}
+				continue
+			}
+			streams[i].ResolveCrash(rp.TimeSec())
+			streams[i].Reset()
+			rp.Restart()
+		}
+		if tick%censorEvery == 0 {
+			for _, st := range streams {
+				st.ResolveCensored()
+			}
+		}
+	}
+	if st := sup.Stats(); st.FreshRuns < adapt.DefaultMaxBufferedRuns {
+		b.Fatalf("streams collected %d runs in a simulated day, want at least %d", st.FreshRuns, adapt.DefaultMaxBufferedRuns)
+	}
+	return model, sup.Runs()
 }
 
 // BenchmarkOnlinePrediction measures the per-checkpoint cost of the on-line

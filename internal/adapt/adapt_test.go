@@ -331,6 +331,16 @@ func TestSupervisorBufferBounded(t *testing.T) {
 	if first != 20+7 {
 		t.Fatalf("oldest surviving run has %d checkpoints, want 27 (oldest-first eviction)", first)
 	}
+	runs := sup.Runs()
+	for i, run := range runs {
+		if run.Len() != 27+i {
+			t.Fatalf("Runs()[%d] has %d checkpoints, want %d (oldest first)", i, run.Len(), 27+i)
+		}
+	}
+	runs[0] = nil // a snapshot: the buffer is unaffected
+	if sup.Runs()[0] == nil {
+		t.Fatal("Runs returned the buffer itself, not a snapshot")
+	}
 }
 
 // TestStartRetrainGates pins the retrain guards: no trip → no retrain; trip

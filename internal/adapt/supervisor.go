@@ -196,6 +196,14 @@ func (s *Supervisor) addRunLocked(run *monitor.Series) {
 	mBufferRuns.Set(float64(len(s.buf)))
 }
 
+// Runs returns a snapshot of the training buffer, oldest first: the runs the
+// next retrain would train on.
+func (s *Supervisor) Runs() []*monitor.Series {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]*monitor.Series(nil), s.buf...)
+}
+
 // resolveErrors feeds a batch of resolved absolute prediction errors
 // (seconds) into the drift detector and reports whether it is tripped
 // afterwards.

@@ -14,12 +14,18 @@
 // deficient even for QR, a small ridge penalty is applied instead of failing,
 // because a usable, slightly-biased model is always preferable to no model in
 // an on-line prediction loop.
+//
+// Attribute elimination dominates fitting: each greedy round solves one
+// least-squares problem per candidate drop. The candidates fork from one
+// carrier QR at the column they drop, so a round costs about one QR plus
+// their remaining steps, with the bits of solving each from scratch.
 package linreg
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -42,10 +48,10 @@ type Model struct {
 	// TrainingMAE is the mean absolute error on the training data.
 	TrainingMAE float64
 
-	// attrIndex caches the column index of each attribute for a given schema;
-	// it is rebuilt lazily by Predict when the schema changes.
-	attrIndex []int
-	schemaSig string
+	// attrIndex caches the column index of each attribute for the schema
+	// held in boundAttrs; Predict rebuilds it lazily when the schema changes.
+	attrIndex  []int
+	boundAttrs []string
 }
 
 // Options configures Fit.
@@ -77,7 +83,7 @@ func Fit(ds *dataset.Dataset, opts Options) (*Model, error) {
 		return nil, errors.New("linreg: empty dataset")
 	}
 	ridge := opts.Ridge
-	if ridge == 0 {
+	if ridge <= 0 {
 		ridge = 1e-8
 	}
 	attrs := ds.Attrs()
@@ -101,40 +107,77 @@ func Fit(ds *dataset.Dataset, opts Options) (*Model, error) {
 		cols = topCorrelatedAmong(ds, cols, opts.MaxAttrs)
 	}
 
-	coefs, intercept, err := solve(ds, cols, ridge)
-	if err != nil {
-		return nil, err
+	n := ds.Len()
+	ls := &leastSquares{a: [][]float64{make([]float64, n)}, b: ds.Targets(), cols: cols, ridge: ridge, pred: make([]float64, n)}
+	pos := []int{0}
+	for i := range ls.a[0] {
+		ls.a[0][i] = 1
 	}
-	model := buildModel(ds, attrs, cols, coefs, intercept)
-
-	if opts.EliminateAttrs && len(cols) > 1 {
-		model = eliminate(ds, attrs, cols, ridge, model)
+	for _, c := range cols {
+		pos = append(pos, len(ls.a))
+		ls.a = append(ls.a, ds.Column(c))
 	}
-	return model, nil
+	// Solve by QR, falling back to ridge-regularised normal equations when
+	// the system is rank deficient.
+	r := make([][]float64, len(ls.a))
+	for j, col := range ls.a {
+		r[j] = slices.Clone(col)
+	}
+	x, ok := finishQR(r, slices.Clone(ls.b), 0)
+	if !ok {
+		var err error
+		if x, err = ls.ridgeSolve(pos); err != nil {
+			return nil, err
+		}
+	}
+	if opts.EliminateAttrs && len(pos) > 2 {
+		pos, x = ls.eliminate(pos, x)
+	}
+	return ls.model(attrs, pos, x), nil
 }
 
-// buildModel assembles a Model from solved coefficients and computes its
-// training error.
-func buildModel(ds *dataset.Dataset, attrs []string, cols []int, coefs []float64, intercept float64) *Model {
+// leastSquares is one Fit's design matrix, column-major: a[0] is the
+// intercept's ones and a[j+1] holds attribute cols[j]. A candidate model is a
+// subset of its columns, named by their ascending positions, 0 always first.
+type leastSquares struct {
+	a     [][]float64
+	b     []float64
+	cols  []int
+	ridge float64
+	pred  []float64 // scratch for trainingMAE
+}
+
+// model assembles the Model of the solution x over the columns at pos.
+func (ls *leastSquares) model(attrs []string, pos []int, x []float64) *Model {
 	m := &Model{
-		Attrs:             make([]string, len(cols)),
-		Coefficients:      append([]float64(nil), coefs...),
-		Intercept:         intercept,
-		TrainingInstances: ds.Len(),
+		Attrs:             make([]string, len(pos)-1),
+		Coefficients:      append([]float64(nil), x[1:]...),
+		Intercept:         x[0],
+		TrainingInstances: len(ls.b),
+		TrainingMAE:       ls.trainingMAE(pos, x),
 	}
-	for i, c := range cols {
-		m.Attrs[i] = attrs[c]
+	for j, q := range pos[1:] {
+		m.Attrs[j] = attrs[ls.cols[q-1]]
+	}
+	return m
+}
+
+// trainingMAE is the mean absolute error of the solution x over the columns
+// at pos; each row's prediction adds its terms in column order.
+func (ls *leastSquares) trainingMAE(pos []int, x []float64) float64 {
+	for i := range ls.pred {
+		ls.pred[i] = x[0]
+	}
+	for j, q := range pos[1:] {
+		for i, v := range ls.a[q] {
+			ls.pred[i] += x[j+1] * v
+		}
 	}
 	sumAbs := 0.0
-	for i := 0; i < ds.Len(); i++ {
-		pred := intercept
-		for j, c := range cols {
-			pred += coefs[j] * ds.Value(i, c)
-		}
-		sumAbs += math.Abs(pred - ds.TargetValue(i))
+	for i, p := range ls.pred {
+		sumAbs += math.Abs(p - ls.b[i])
 	}
-	m.TrainingMAE = sumAbs / float64(ds.Len())
-	return m
+	return sumAbs / float64(len(ls.pred))
 }
 
 // akaikeError is the error measure M5 uses to decide whether dropping an
@@ -148,48 +191,62 @@ func akaikeError(mae float64, n, params int) float64 {
 	return mae * float64(n+v) / float64(n-v)
 }
 
-// eliminate greedily drops attributes while the Akaike-corrected training
-// error does not increase. It returns the best model found (possibly the
-// original one).
-func eliminate(ds *dataset.Dataset, attrs []string, cols []int, ridge float64, initial *Model) *Model {
-	best := initial
-	bestCols := append([]int(nil), cols...)
-	bestScore := akaikeError(initial.TrainingMAE, ds.Len(), len(bestCols))
-
-	improved := true
-	for improved && len(bestCols) > 1 {
-		improved = false
-		var (
-			bestDropIdx   = -1
-			bestDropModel *Model
-			bestDropCols  []int
-			bestDropScore = bestScore
-		)
-		for drop := range bestCols {
-			trial := make([]int, 0, len(bestCols)-1)
-			trial = append(trial, bestCols[:drop]...)
-			trial = append(trial, bestCols[drop+1:]...)
-			coefs, intercept, err := solve(ds, trial, ridge)
-			if err != nil {
-				continue
-			}
-			m := buildModel(ds, attrs, trial, coefs, intercept)
-			score := akaikeError(m.TrainingMAE, ds.Len(), len(trial))
-			if score <= bestDropScore {
-				bestDropScore = score
-				bestDropIdx = drop
-				bestDropModel = m
-				bestDropCols = trial
-			}
-		}
-		if bestDropIdx >= 0 {
-			best = bestDropModel
-			bestCols = bestDropCols
-			bestScore = bestDropScore
-			improved = true
-		}
+// eliminate greedily drops columns from the solution x over pos while the
+// Akaike-corrected training error does not increase, and returns the best
+// columns and solution found. Each round tries every single-column drop in
+// ascending order; a later trial wins a tie. The trials share their QR
+// prefix: step k reads only columns <= k and reflects each later column, and
+// y, on its own, so the trial dropping column c is, after c steps, the full
+// matrix after c steps minus column c. One carrier QR runs over the round's
+// columns, and before carrier step c the trial dropping c forks from it and
+// finishes the steps from c on, bit for bit a fresh solve of its columns.
+func (ls *leastSquares) eliminate(pos []int, x []float64) ([]int, []float64) {
+	n := len(ls.b)
+	bestScore := akaikeError(ls.trainingMAE(pos, x), n, len(pos)-1)
+	carrier, owned := make([][]float64, len(pos)), make([][]float64, len(pos))
+	for j := range carrier {
+		carrier[j], owned[j] = make([]float64, n), make([]float64, n)
 	}
-	return best
+	cy, ty, r := make([]float64, n), make([]float64, n), make([][]float64, len(pos))
+	for len(pos) > 2 {
+		p, ok := len(pos), true
+		for j, q := range pos {
+			copy(carrier[j], ls.a[q])
+		}
+		copy(cy, ls.b)
+		bestPos, bestX := []int(nil), []float64(nil)
+		for c := 1; c < p; c++ {
+			// A failed carrier step fails every later trial the same way.
+			ok = ok && householderStep(carrier[:p], cy, c-1)
+			trial := append(append(make([]int, 0, p-1), pos[:c]...), pos[c+1:]...)
+			tx, solved := []float64(nil), false
+			if ok {
+				// The carrier's columns before c are final, and only read by
+				// back-substitution; the trial copies the rest.
+				copy(r, carrier[:c])
+				for j := c + 1; j < p; j++ {
+					r[j-1] = owned[j-1]
+					copy(r[j-1], carrier[j])
+				}
+				copy(ty, cy)
+				tx, solved = finishQR(r[:p-1], ty, c)
+			}
+			if !solved {
+				var err error
+				if tx, err = ls.ridgeSolve(trial); err != nil {
+					continue
+				}
+			}
+			if score := akaikeError(ls.trainingMAE(trial, tx), n, p-2); score <= bestScore {
+				bestScore, bestPos, bestX = score, trial, tx
+			}
+		}
+		if bestPos == nil {
+			break
+		}
+		pos, x = bestPos, bestX
+	}
+	return pos, x
 }
 
 // topCorrelatedAmong returns the k column indices (from the candidate set)
@@ -237,102 +294,95 @@ func pearson(x, y []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// solve computes least-squares coefficients for the given columns plus an
-// intercept. It first tries a QR solve; if the system is rank deficient it
-// falls back to ridge-regularised normal equations.
-func solve(ds *dataset.Dataset, cols []int, ridge float64) (coefs []float64, intercept float64, err error) {
-	n := ds.Len()
-	p := len(cols) + 1 // +1 intercept column
-
-	// Build the design matrix (row-major) with a leading column of ones.
-	a := make([]float64, n*p)
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a[i*p] = 1
-		for j, c := range cols {
-			a[i*p+j+1] = ds.Value(i, c)
-		}
-		b[i] = ds.TargetValue(i)
-	}
-
-	x, ok := qrSolve(a, b, n, p)
-	if !ok {
-		x, err = ridgeSolve(a, b, n, p, ridge)
-		if err != nil {
-			return nil, 0, fmt.Errorf("linreg: solving least squares: %w", err)
-		}
-	}
-	return x[1:], x[0], nil
-}
-
-// qrSolve solves min ||Ax - b|| for an n×p row-major matrix using Householder
-// QR. It reports ok=false when A is (numerically) rank deficient.
-func qrSolve(a, b []float64, n, p int) (x []float64, ok bool) {
-	if n < p {
+// finishQR runs Householder steps k onwards on the column-major matrix r and
+// on y, in place, and back-substitutes for the least-squares solution. It
+// reports false when r has more columns than rows or is (numerically) rank
+// deficient.
+func finishQR(r [][]float64, y []float64, k int) ([]float64, bool) {
+	if len(y) < len(r) {
 		return nil, false
 	}
-	// Work on copies: the caller may retry with ridge on the originals.
-	r := append([]float64(nil), a...)
-	y := append([]float64(nil), b...)
-
-	for k := 0; k < p; k++ {
-		// Compute the Householder reflector for column k below the diagonal.
-		norm := 0.0
-		for i := k; i < n; i++ {
-			norm = math.Hypot(norm, r[i*p+k])
-		}
-		if norm == 0 {
+	for ; k < len(r); k++ {
+		if !householderStep(r, y, k) {
 			return nil, false
 		}
-		if r[k*p+k] > 0 {
-			norm = -norm
-		}
-		for i := k; i < n; i++ {
-			r[i*p+k] /= norm
-		}
-		r[k*p+k] += 1
-
-		// Apply the reflector to the remaining columns and to y.
-		for j := k + 1; j < p; j++ {
-			s := 0.0
-			for i := k; i < n; i++ {
-				s += r[i*p+k] * r[i*p+j]
-			}
-			s = -s / r[k*p+k]
-			for i := k; i < n; i++ {
-				r[i*p+j] += s * r[i*p+k]
-			}
-		}
-		s := 0.0
-		for i := k; i < n; i++ {
-			s += r[i*p+k] * y[i]
-		}
-		s = -s / r[k*p+k]
-		for i := k; i < n; i++ {
-			y[i] += s * r[i*p+k]
-		}
-		// The diagonal entry of R is -norm.
-		r[k*p+k] = norm // stash; actual R(k,k) = -norm, handled in back-substitution
 	}
+	return backSubstitute(r, y)
+}
 
-	// Back substitution with R stored in the upper triangle (diagonal holds
-	// the negated value in r[k*p+k]).
+// householderStep applies Householder step k to the column-major matrix r
+// and to y: column k becomes the reflector, every later column and y are
+// reflected one at a time in row order, and r[k][k] keeps the negated
+// diagonal of R. It reports false when column k is zero below the diagonal.
+func householderStep(r [][]float64, y []float64, k int) bool {
+	v := r[k]
+	norm := 0.0
+	for _, e := range v[k:] {
+		// norm = math.Hypot(norm, e), with its arithmetic for finite
+		// arguments written out so that the loop makes no call.
+		p, q := norm, math.Abs(e)
+		if p < q {
+			p, q = q, p
+		}
+		switch {
+		case !(p <= math.MaxFloat64 && q == q): // infinite or NaN
+			norm = math.Hypot(p, q)
+		case p > 0: // else both are zero, and so is the norm
+			q /= p
+			norm = p * math.Sqrt(1+q*q)
+		}
+	}
+	if norm == 0 {
+		return false
+	}
+	if v[k] > 0 {
+		norm = -norm
+	}
+	for i := k; i < len(v); i++ {
+		v[i] /= norm
+	}
+	v[k] += 1
+	for _, col := range r[k+1:] {
+		reflect(v, col, k)
+	}
+	reflect(v, y, k)
+	v[k] = norm // stash; actual R(k,k) = -norm, handled in back-substitution
+	return true
+}
+
+// reflect applies the reflector stored in v[k:] to col[k:].
+func reflect(v, col []float64, k int) {
+	s := 0.0
+	for i := k; i < len(v); i++ {
+		s += v[i] * col[i]
+	}
+	s = -s / v[k]
+	for i := k; i < len(v); i++ {
+		col[i] += s * v[i]
+	}
+}
+
+// backSubstitute solves R x = Qᵀb once every column has had its Householder
+// step: R is the upper triangle of r (r[j][k] holds R(k,j), the diagonal
+// negated) and y holds Qᵀb.
+func backSubstitute(r [][]float64, y []float64) (x []float64, ok bool) {
+	p := len(r)
 	x = make([]float64, p)
 	const rankTol = 1e-10
 	maxDiag := 0.0
 	for k := 0; k < p; k++ {
-		if d := math.Abs(r[k*p+k]); d > maxDiag {
+		if d := math.Abs(r[k][k]); d > maxDiag {
 			maxDiag = d
 		}
 	}
 	for k := p - 1; k >= 0; k-- {
-		diag := -r[k*p+k]
+		diag := -r[k][k]
 		if math.Abs(diag) <= rankTol*maxDiag || diag == 0 {
 			return nil, false
 		}
 		s := y[k]
 		for j := k + 1; j < p; j++ {
-			s -= r[k*p+j] * x[j]
+			s -= r[j][k] * x[j]
 		}
 		x[k] = s / diag
 	}
@@ -344,35 +394,25 @@ func qrSolve(a, b []float64, n, p int) (x []float64, ok bool) {
 	return x, true
 }
 
-// ridgeSolve solves (AᵀA + λD)x = Aᵀb by Cholesky decomposition, where D is
-// a diagonal scaling matrix derived from AᵀA itself so the penalty is
-// meaningful regardless of the (often wildly different) column scales of the
-// derived Table 2 features. The intercept column is penalised too; with the
-// tiny default λ this bias is negligible and it keeps the matrix strictly
-// positive definite. If the factorisation still fails, the penalty is
-// escalated a few times before giving up.
-func ridgeSolve(a, b []float64, n, p int, lambda float64) ([]float64, error) {
-	if lambda <= 0 {
-		lambda = 1e-8
-	}
+// ridgeSolve solves (AᵀA + λD)x = Aᵀb by Cholesky decomposition over the
+// columns at pos, where D is a diagonal scaling matrix derived from AᵀA
+// itself so the penalty is meaningful regardless of the (often wildly
+// different) column scales of the derived Table 2 features. The intercept
+// column is penalised too; with the tiny default λ this bias is negligible
+// and it keeps the matrix strictly positive definite. If the factorisation
+// still fails, the penalty is escalated a few times before giving up.
+func (ls *leastSquares) ridgeSolve(pos []int) ([]float64, error) {
+	p := len(pos)
 	// Normal matrix M = AᵀA (p×p, symmetric) and rhs v = Aᵀb.
-	m := make([]float64, p*p)
-	v := make([]float64, p)
-	for i := 0; i < n; i++ {
-		row := a[i*p : (i+1)*p]
-		for j := 0; j < p; j++ {
-			v[j] += row[j] * b[i]
-			for k := j; k < p; k++ {
-				m[j*p+k] += row[j] * row[k]
-			}
+	m, v := make([]float64, p*p), make([]float64, p)
+	for j, qj := range pos {
+		v[j] = dot(ls.a[qj], ls.b)
+		for k, qk := range pos[j:] {
+			m[j*p+j+k] = dot(ls.a[qj], ls.a[qk])
+			m[(j+k)*p+j] = m[j*p+j+k]
 		}
 	}
-	for j := 0; j < p; j++ {
-		for k := 0; k < j; k++ {
-			m[j*p+k] = m[k*p+j]
-		}
-	}
-
+	lambda := ls.ridge
 	var lastErr error
 	for attempt := 0; attempt < 6; attempt++ {
 		penalised := append([]float64(nil), m...)
@@ -389,7 +429,15 @@ func ridgeSolve(a, b []float64, n, p int, lambda float64) ([]float64, error) {
 		lastErr = err
 		lambda *= 1e3
 	}
-	return nil, fmt.Errorf("ridge solve failed even with escalated penalty: %w", lastErr)
+	return nil, fmt.Errorf("linreg: solving least squares: ridge solve failed even with escalated penalty: %w", lastErr)
+}
+
+func dot(x, y []float64) float64 {
+	s := 0.0
+	for i := range x {
+		s += x[i] * y[i]
+	}
+	return s
 }
 
 // choleskySolve solves the symmetric positive definite system M x = v.
@@ -454,25 +502,11 @@ func (m *Model) Predict(attrs []string, row []float64) (float64, error) {
 	return pred, nil
 }
 
-// PredictDataset returns predictions for every instance of ds.
-func (m *Model) PredictDataset(ds *dataset.Dataset) ([]float64, error) {
-	attrs := ds.Attrs()
-	out := make([]float64, ds.Len())
-	for i := 0; i < ds.Len(); i++ {
-		v, err := m.Predict(attrs, ds.Row(i))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // bindSchema resolves the model's attribute names against a row schema,
-// caching the result until the schema changes.
+// caching the result until the schema changes. A schema it has already
+// bound costs one comparison per name and no allocation.
 func (m *Model) bindSchema(attrs []string) error {
-	sig := strings.Join(attrs, "\x00")
-	if sig == m.schemaSig && m.attrIndex != nil {
+	if m.attrIndex != nil && slices.Equal(attrs, m.boundAttrs) {
 		return nil
 	}
 	idx, err := m.resolveAttrs(attrs)
@@ -480,7 +514,7 @@ func (m *Model) bindSchema(attrs []string) error {
 		return err
 	}
 	m.attrIndex = idx
-	m.schemaSig = sig
+	m.boundAttrs = append(m.boundAttrs[:0], attrs...)
 	return nil
 }
 
@@ -489,13 +523,7 @@ func (m *Model) bindSchema(attrs []string) error {
 func (m *Model) resolveAttrs(attrs []string) ([]int, error) {
 	idx := make([]int, len(m.Attrs))
 	for j, name := range m.Attrs {
-		found := -1
-		for i, a := range attrs {
-			if a == name {
-				found = i
-				break
-			}
-		}
+		found := slices.Index(attrs, name)
 		if found < 0 {
 			return nil, fmt.Errorf("linreg: instance schema is missing attribute %q", name)
 		}

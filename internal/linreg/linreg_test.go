@@ -40,6 +40,19 @@ func buildLinearDataset(t *testing.T, n int, coefs []float64, intercept, noise f
 	return ds
 }
 
+// predictDataset returns predict's prediction for every instance of ds.
+func predictDataset(predict func(attrs []string, row []float64) (float64, error), ds *dataset.Dataset) ([]float64, error) {
+	out := make([]float64, ds.Len())
+	for i := range out {
+		v, err := predict(ds.Attrs(), ds.Row(i))
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
 func TestFitRecoversExactLinearModel(t *testing.T) {
 	coefs := []float64{2.5, -1.25, 0.75}
 	ds := buildLinearDataset(t, 200, coefs, 4.0, 0, 1)
@@ -106,7 +119,7 @@ func TestFitConstantColumnFallsBackToRidge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	preds, err := m.PredictDataset(ds)
+	preds, err := predictDataset(m.Predict, ds)
 	if err != nil {
 		t.Fatalf("PredictDataset: %v", err)
 	}
@@ -228,6 +241,40 @@ func TestPredictSchemaBinding(t *testing.T) {
 	}
 }
 
+// TestPredictBoundSchemaZeroAllocs pins Model.Predict at zero allocations
+// once it has bound a schema, whether the caller passes the same names slice
+// or an equal copy, and checks that switching schemas back and forth, or
+// editing the caller's slice in place, rebinds correctly.
+func TestPredictBoundSchemaZeroAllocs(t *testing.T) {
+	ds := buildLinearDataset(t, 50, []float64{2, -1}, 0, 0, 7)
+	m, err := Fit(ds, Options{})
+	if err != nil {
+		t.Fatalf("Fit: %v", err)
+	}
+	attrs, row := []string{"a", "b"}, []float64{3, 1}
+	if _, err := m.Predict(attrs, row); err != nil {
+		t.Fatalf("Predict: %v", err)
+	}
+	same := append([]string(nil), attrs...)
+	for _, schema := range [][]string{attrs, same} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = m.Predict(schema, row) }); n != 0 {
+			t.Fatalf("Predict on a bound schema: %v allocs/op, want 0", n)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if p, _ := m.Predict([]string{"b", "a"}, []float64{1, 3}); math.Abs(p-5) > 1e-6 {
+			t.Fatalf("Predict on the reversed schema = %v, want 5", p)
+		}
+		if p, _ := m.Predict(attrs, row); math.Abs(p-5) > 1e-6 {
+			t.Fatalf("Predict on the training schema = %v, want 5", p)
+		}
+	}
+	attrs[0], attrs[1] = "b", "a"
+	if p, _ := m.Predict(attrs, []float64{1, 3}); math.Abs(p-5) > 1e-6 {
+		t.Fatalf("Predict after editing the schema in place = %v, want 5", p)
+	}
+}
+
 func TestModelString(t *testing.T) {
 	m := &Model{Attrs: []string{"mem", "thr"}, Coefficients: []float64{-3.5, 2}, Intercept: 10}
 	s := m.String()
@@ -285,7 +332,7 @@ func TestFitRecoversLinearProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		preds, err := m.PredictDataset(ds)
+		preds, err := predictDataset(m.Predict, ds)
 		if err != nil {
 			return false
 		}

@@ -31,9 +31,11 @@
 package m5p
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"agingpred/internal/dataset"
@@ -147,17 +149,9 @@ func Fit(ds *dataset.Dataset, opts Options) (*Tree, error) {
 		opts:              opts,
 		TrainingInstances: ds.Len(),
 	}
-	idx := make([]int, ds.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	globalSD := ds.TargetStats().StdDev
-
-	var err error
-	t.root, err = t.grow(ds, idx, 0, globalSD)
-	if err != nil {
-		return nil, err
-	}
+	ps := presort(ds)
+	idx := slices.Clone(ps.lists[0]) // grow reorders the lists
+	t.root = t.grow(ds, ps, 0, ds.Len(), 0, ds.TargetStats().StdDev)
 	if _, err := t.fitModels(ds, t.root, idx, true); err != nil {
 		return nil, err
 	}
@@ -167,43 +161,85 @@ func Fit(ds *dataset.Dataset, opts Options) (*Tree, error) {
 	return t, nil
 }
 
-// grow recursively builds the unpruned tree structure.
-func (t *Tree) grow(ds *dataset.Dataset, idx []int, depth int, globalSD float64) (*node, error) {
-	n := &node{n: len(idx), leaf: true, sd: stdDevTarget(ds, idx)}
-	if len(idx) < 2*t.opts.MinInstances || depth >= t.opts.MaxDepth {
-		return n, nil
+// presorted holds the split search's row lists: lists[0] has the training
+// rows in ascending order, lists[1+col] in the order of attribute col. Each
+// node owns the same range [lo,hi) of every list; splitting it partitions
+// the range stably. So a node's list for col is its rows stable-sorted by col
+// (values are finite, so "<=" is a total order): the list a per-node sort
+// gives, summed by the split search in the same order.
+type presorted struct {
+	lists   [][]int
+	cols    [][]float64 // cols[col][row]
+	targets []float64
+	left    []bool // left[row]: the row goes left at the split being applied
+	buf     []int
+}
+
+func presort(ds *dataset.Dataset) *presorted {
+	n, p := ds.Len(), ds.NumAttrs()
+	ps := &presorted{lists: make([][]int, p+1), cols: make([][]float64, p), targets: ds.Targets(), left: make([]bool, n), buf: make([]int, n)}
+	ps.lists[0] = make([]int, n)
+	for i := range ps.lists[0] {
+		ps.lists[0][i] = i
 	}
-	if n.sd <= t.opts.MinStdDevFraction*globalSD {
-		return n, nil
+	for col := range ps.cols {
+		ps.cols[col] = ds.Column(col)
+		ps.lists[col+1] = slices.Clone(ps.lists[0])
+		sortByColumn(ps.cols[col], ps.lists[col+1])
 	}
-	attr, threshold, ok := bestSplit(ds, idx, t.opts.MinInstances)
-	if !ok {
-		return n, nil
-	}
-	var left, right []int
-	for _, i := range idx {
-		if ds.Value(i, attr) <= threshold {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+	return ps
+}
+
+// split stable-partitions the range [lo,hi) of every list into the rows
+// whose attr is <= threshold, then the others, and returns where the others
+// start.
+func (ps *presorted) split(lo, hi, attr int, threshold float64) int {
+	mid := lo
+	for _, i := range ps.lists[0][lo:hi] {
+		if ps.left[i] = ps.cols[attr][i] <= threshold; ps.left[i] {
+			mid++
 		}
 	}
-	if len(left) < t.opts.MinInstances || len(right) < t.opts.MinInstances {
-		return n, nil
+	for _, list := range ps.lists {
+		w, right := lo, ps.buf[:0]
+		for _, i := range list[lo:hi] {
+			if ps.left[i] {
+				list[w] = i
+				w++
+			} else {
+				right = append(right, i)
+			}
+		}
+		copy(list[w:hi], right)
 	}
-	n.leaf = false
-	n.attr = attr
-	n.threshold = threshold
-	var err error
-	n.left, err = t.grow(ds, left, depth+1, globalSD)
-	if err != nil {
-		return nil, err
+	return mid
+}
+
+// grow recursively builds the unpruned tree structure over the rows in the
+// range [lo,hi) of ps.
+func (t *Tree) grow(ds *dataset.Dataset, ps *presorted, lo, hi, depth int, globalSD float64) *node {
+	idx := ps.lists[0][lo:hi]
+	n := &node{n: len(idx), leaf: true, sd: stdDevTarget(ds, idx)}
+	if len(idx) < 2*t.opts.MinInstances || depth >= t.opts.MaxDepth {
+		return n
 	}
-	n.right, err = t.grow(ds, right, depth+1, globalSD)
-	if err != nil {
-		return nil, err
+	if n.sd <= t.opts.MinStdDevFraction*globalSD {
+		return n
 	}
-	return n, nil
+	attr, threshold, ok := bestSplit(ps, lo, hi, n.sd, t.opts.MinInstances)
+	if !ok {
+		return n
+	}
+	// A rejected split leaves the range reordered, but a leaf's range is
+	// never read again.
+	mid := ps.split(lo, hi, attr, threshold)
+	if mid-lo < t.opts.MinInstances || hi-mid < t.opts.MinInstances {
+		return n
+	}
+	n.leaf, n.attr, n.threshold = false, attr, threshold
+	n.left = t.grow(ds, ps, lo, mid, depth+1, globalSD)
+	n.right = t.grow(ds, ps, mid, hi, depth+1, globalSD)
+	return n
 }
 
 // fitModels attaches a linear model to every node (post-order) and returns
@@ -243,14 +279,7 @@ func (t *Tree) fitModels(ds *dataset.Dataset, n *node, idx []int, isRoot bool) (
 		return map[int]bool{}, nil
 	}
 
-	var left, right []int
-	for _, i := range idx {
-		if ds.Value(i, n.attr) <= n.threshold {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
+	left, right := n.route(ds, idx)
 	leftAttrs, err := t.fitModels(ds, n.left, left, false)
 	if err != nil {
 		return nil, err
@@ -281,6 +310,18 @@ func (t *Tree) fitModels(ds *dataset.Dataset, n *node, idx []int, isRoot bool) (
 	return subtree, nil
 }
 
+// route splits idx by n's test, keeping the order.
+func (n *node) route(ds *dataset.Dataset, idx []int) (left, right []int) {
+	for _, i := range idx {
+		if ds.Value(i, n.attr) <= n.threshold {
+			left = append(left, i)
+		} else {
+			right = append(right, i)
+		}
+	}
+	return left, right
+}
+
 // prune walks the tree bottom-up, replacing a subtree by its node model when
 // the node model's estimated error is no worse than the subtree's estimated
 // error. It returns the estimated error of (possibly pruned) n.
@@ -289,14 +330,7 @@ func (t *Tree) prune(ds *dataset.Dataset, n *node, idx []int) float64 {
 	if n.leaf {
 		return nodeErr
 	}
-	var left, right []int
-	for _, i := range idx {
-		if ds.Value(i, n.attr) <= n.threshold {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
+	left, right := n.route(ds, idx)
 	leftErr := t.prune(ds, n.left, left)
 	rightErr := t.prune(ds, n.right, right)
 	subtreeErr := (leftErr*float64(len(left)) + rightErr*float64(len(right))) / float64(len(idx))
@@ -318,16 +352,15 @@ func (t *Tree) nodeModelMAE(ds *dataset.Dataset, n *node, idx []int) float64 {
 	if len(idx) == 0 {
 		return 0
 	}
+	bm, err := n.model.Bind(t.attrs)
+	if err != nil {
+		// Fitted on this very schema, so an error is a bug: degrade
+		// gracefully, scoring every prediction as the worst case.
+		return math.Inf(1)
+	}
 	sum := 0.0
 	for _, i := range idx {
-		p, err := n.model.Predict(t.attrs, ds.Row(i))
-		if err != nil {
-			// The node model was fitted on this very schema; an error here is
-			// a programming bug, but degrade gracefully by treating the
-			// prediction as the worst case rather than panicking.
-			p = math.Inf(1)
-		}
-		sum += math.Abs(p - ds.TargetValue(i))
+		sum += math.Abs(bm.Predict(ds.Row(i)) - ds.TargetValue(i))
 	}
 	return sum / float64(len(idx))
 }
@@ -342,38 +375,37 @@ func estimatedError(mae float64, n, params int) float64 {
 	return mae * float64(n+v) / float64(n-v)
 }
 
-// bestSplit finds the (attribute, threshold) maximising SDR. Shared logic
-// with internal/regtree but kept local so the two packages stay independent
-// (they are alternative models, not layers).
-func bestSplit(ds *dataset.Dataset, idx []int, minInstances int) (attr int, threshold float64, ok bool) {
-	parentSD := stdDevTarget(ds, idx)
+// bestSplit finds the (attribute, threshold) maximising SDR over the rows in
+// the range [lo,hi) of ps, whose target standard deviation is parentSD.
+// Shared logic with internal/regtree but kept local so the two packages stay
+// independent (they are alternative models, not layers).
+func bestSplit(ps *presorted, lo, hi int, parentSD float64, minInstances int) (attr int, threshold float64, ok bool) {
 	if parentSD == 0 {
 		return 0, 0, false
 	}
 	bestSDR := 0.0
-	nTotal := float64(len(idx))
+	nTotal := float64(hi - lo)
 
-	sorted := make([]int, len(idx))
-	for col := 0; col < ds.NumAttrs(); col++ {
-		copy(sorted, idx)
-		sortByColumn(ds, sorted, col)
+	for col, list := range ps.lists[1:] {
+		sorted := list[lo:hi]
+		vals := ps.cols[col]
 
 		var leftSum, leftSumSq float64
 		var rightSum, rightSumSq float64
 		for _, i := range sorted {
-			v := ds.TargetValue(i)
+			v := ps.targets[i]
 			rightSum += v
 			rightSumSq += v * v
 		}
 		for pos := 0; pos < len(sorted)-1; pos++ {
-			v := ds.TargetValue(sorted[pos])
+			v := ps.targets[sorted[pos]]
 			leftSum += v
 			leftSumSq += v * v
 			rightSum -= v
 			rightSumSq -= v * v
 
-			cur := ds.Value(sorted[pos], col)
-			next := ds.Value(sorted[pos+1], col)
+			cur := vals[sorted[pos]]
+			next := vals[sorted[pos+1]]
 			if cur == next {
 				continue
 			}
@@ -396,53 +428,12 @@ func bestSplit(ds *dataset.Dataset, idx []int, minInstances int) (attr int, thre
 	return attr, threshold, ok
 }
 
-// sortByColumn sorts idx ascending by the given attribute column using a
-// bottom-up merge sort over a scratch buffer (stable, no per-comparison
-// allocations).
-func sortByColumn(ds *dataset.Dataset, idx []int, col int) {
-	n := len(idx)
-	if n < 2 {
-		return
-	}
-	buf := make([]int, n)
-	src, dst := idx, buf
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if ds.Value(src[i], col) <= ds.Value(src[j], col) {
-					dst[k] = src[i]
-					i++
-				} else {
-					dst[k] = src[j]
-					j++
-				}
-				k++
-			}
-			for i < mid {
-				dst[k] = src[i]
-				i++
-				k++
-			}
-			for j < hi {
-				dst[k] = src[j]
-				j++
-				k++
-			}
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &idx[0] {
-		copy(idx, src)
-	}
+// sortByColumn sorts idx ascending by vals[idx[i]], equal values in
+// ascending order of idx: for an ascending idx, the order of a stable sort.
+func sortByColumn(vals []float64, idx []int) {
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(vals[a], vals[b]), cmp.Compare(a, b))
+	})
 }
 
 func stdDevTarget(ds *dataset.Dataset, idx []int) float64 {
@@ -487,13 +478,7 @@ func (t *Tree) Predict(attrs []string, row []float64) (float64, error) {
 func (t *Tree) bindSchema(attrs []string) ([]int, error) {
 	colOf := make([]int, len(t.attrs))
 	for j, name := range t.attrs {
-		found := -1
-		for i, a := range attrs {
-			if a == name {
-				found = i
-				break
-			}
-		}
+		found := slices.Index(attrs, name)
 		if found < 0 {
 			return nil, fmt.Errorf("m5p: instance schema is missing attribute %q", name)
 		}
@@ -591,20 +576,6 @@ func (b *BoundTree) flatten(n *node, attrs []string, colOf []int, parent int32) 
 	b.left[i] = l
 	b.right[i] = r
 	return i, nil
-}
-
-// PredictDataset returns predictions for every instance of ds.
-func (t *Tree) PredictDataset(ds *dataset.Dataset) ([]float64, error) {
-	attrs := ds.Attrs()
-	out := make([]float64, ds.Len())
-	for i := 0; i < ds.Len(); i++ {
-		v, err := t.Predict(attrs, ds.Row(i))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // Leaves returns the number of leaves.

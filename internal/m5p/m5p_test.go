@@ -50,6 +50,19 @@ func mae(t testing.TB, preds []float64, ds *dataset.Dataset) float64 {
 	return sum / float64(len(preds))
 }
 
+// predictDataset returns predict's prediction for every instance of ds.
+func predictDataset(predict func(attrs []string, row []float64) (float64, error), ds *dataset.Dataset) ([]float64, error) {
+	out := make([]float64, ds.Len())
+	for i := range out {
+		v, err := predict(ds.Attrs(), ds.Row(i))
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
 func TestFitPiecewiseLinear(t *testing.T) {
 	ds := piecewiseDataset(t, 500, 0, 1)
 	tree, err := Fit(ds, Options{})
@@ -59,7 +72,7 @@ func TestFitPiecewiseLinear(t *testing.T) {
 	if tree.Leaves() < 2 {
 		t.Fatalf("piecewise data produced %d leaves, want >= 2", tree.Leaves())
 	}
-	preds, err := tree.PredictDataset(ds)
+	preds, err := predictDataset(tree.Predict, ds)
 	if err != nil {
 		t.Fatalf("PredictDataset: %v", err)
 	}
@@ -99,11 +112,11 @@ func TestM5PBeatsLinearRegressionOnPiecewiseData(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fit linreg: %v", err)
 	}
-	treePreds, err := tree.PredictDataset(test)
+	treePreds, err := predictDataset(tree.Predict, test)
 	if err != nil {
 		t.Fatalf("tree PredictDataset: %v", err)
 	}
-	lrPreds, err := lr.PredictDataset(test)
+	lrPreds, err := predictDataset(lr.Predict, test)
 	if err != nil {
 		t.Fatalf("linreg PredictDataset: %v", err)
 	}
@@ -357,7 +370,7 @@ func TestSortByColumn(t *testing.T) {
 		_ = ds.Append([]float64{v}, v)
 	}
 	idx := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	sortByColumn(ds, idx, 0)
+	sortByColumn(ds.Column(0), idx)
 	for i := 1; i < len(idx); i++ {
 		if ds.Value(idx[i-1], 0) > ds.Value(idx[i], 0) {
 			t.Fatalf("sortByColumn not sorted: %v", idx)
