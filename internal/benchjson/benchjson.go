@@ -9,10 +9,12 @@
 package benchjson
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 )
 
 // Env describes the machine a measurement ran on.
@@ -25,6 +27,9 @@ type Env struct {
 	// throttled or containerised host it can be lower than NumCPU, and fleet
 	// shard scaling numbers are meaningless without it.
 	GoMaxProcs int `json:"gomaxprocs"`
+	// CPUModel is the processor's marketing name (the first "model name"
+	// line of /proc/cpuinfo); empty where that cannot be read.
+	CPUModel string `json:"cpu_model,omitempty"`
 }
 
 // CurrentEnv captures the running process's environment.
@@ -35,7 +40,25 @@ func CurrentEnv() Env {
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
+		CPUModel:   cpuModel(),
 	}
+}
+
+// cpuModel returns the first "model name" value of /proc/cpuinfo, or "".
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		key, val, ok := strings.Cut(sc.Text(), ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return ""
 }
 
 // Run is one labeled measurement: a named configuration and its metrics
@@ -52,6 +75,9 @@ type Run struct {
 	Note string `json:"note,omitempty"`
 	// Metrics holds the measured values.
 	Metrics map[string]float64 `json:"metrics"`
+	// Env is the machine this run was measured on, when it differs from the
+	// file-level Env (set by Merge on the runs of an earlier machine).
+	Env *Env `json:"env,omitempty"`
 }
 
 // File is one benchmark trajectory document.
@@ -60,8 +86,10 @@ type File struct {
 	Bench string `json:"bench"`
 	// Command reproduces the measurement ("agingbench -bench-json ...").
 	Command string `json:"command,omitempty"`
-	Env     Env    `json:"env"`
-	Runs    []Run  `json:"runs"`
+	// Env is the machine of the latest session, and of every run that
+	// carries no Env of its own.
+	Env  Env   `json:"env"`
+	Runs []Run `json:"runs"`
 }
 
 // Read loads a trajectory file.
@@ -98,9 +126,10 @@ func Write(path string, f *File) error {
 }
 
 // Merge appends runs to an existing trajectory file, creating it when
-// missing. The environment is overwritten with the current session's (the
-// runs keep their own stamps, so a file can mix machines as long as the notes
-// say so).
+// missing. The file-level environment becomes the current session's; when
+// that changes it, every earlier run without an Env of its own is first
+// given the old file-level one, so no run is relabelled to a machine it
+// never ran on.
 func Merge(path string, f *File) error {
 	old, err := Read(path)
 	if os.IsNotExist(err) {
@@ -113,7 +142,15 @@ func Merge(path string, f *File) error {
 	if f.Command != "" {
 		old.Command = f.Command
 	}
-	old.Env = f.Env
+	if old.Env != f.Env {
+		for i := range old.Runs {
+			if old.Runs[i].Env == nil {
+				env := old.Env
+				old.Runs[i].Env = &env
+			}
+		}
+		old.Env = f.Env
+	}
 	old.Runs = append(old.Runs, f.Runs...)
 	return Write(path, old)
 }

@@ -78,6 +78,49 @@ func TestMergeAppendsRuns(t *testing.T) {
 	}
 }
 
+// TestMergeKeepsEarlierRunsEnv pins that appending a session measured on
+// another machine relabels none of the earlier runs: they keep the old
+// file-level env as their own, the new runs inherit the new one, and a
+// third session on the same machine as the second copies nothing more.
+func TestMergeKeepsEarlierRunsEnv(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_test.json")
+	first := sample()
+	first.Env = Env{GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", NumCPU: 1, GoMaxProcs: 1}
+	if err := Merge(path, first); err != nil {
+		t.Fatal(err)
+	}
+	second := sample()
+	second.Env = Env{GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", NumCPU: 2, GoMaxProcs: 2, CPUModel: "Test CPU"}
+	second.Runs[0].Label = "fleet/shards-2"
+	if err := Merge(path, second); err != nil {
+		t.Fatal(err)
+	}
+	third := sample()
+	third.Env = second.Env
+	third.Runs[0].Label = "fleet/shards-4"
+	if err := Merge(path, third); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Env != second.Env {
+		t.Fatalf("file env = %+v, want the latest session's %+v", got.Env, second.Env)
+	}
+	if len(got.Runs) != 3 {
+		t.Fatalf("want 3 runs, got %+v", got.Runs)
+	}
+	if got.Runs[0].Env == nil || *got.Runs[0].Env != first.Env {
+		t.Fatalf("earlier run's env = %+v, want the env it was measured under %+v", got.Runs[0].Env, first.Env)
+	}
+	for _, r := range got.Runs[1:] {
+		if r.Env != nil {
+			t.Fatalf("run %s measured on the file-level machine carries its own env %+v", r.Label, *r.Env)
+		}
+	}
+}
+
 func TestReadRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_bad.json")
 	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {

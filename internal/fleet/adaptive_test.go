@@ -129,22 +129,28 @@ func TestAdaptiveFleetDeterministicAcrossShardCounts(t *testing.T) {
 }
 
 // TestAdaptiveSerialParallelEquivalence diffs adaptive serving across the
-// parallel one-barrier engine and the serial-stepping reference path,
-// report and journal both: epoch swaps land at reset boundaries inside the
-// shard workers' tick, and the split must not move a single event. Under
+// parallel one-barrier engine and the serial-stepping reference path, and
+// across shard counts, report and journal both: epoch swaps land at reset
+// boundaries inside the shard workers' tick, and neither the engine nor the
+// placement may move a single event. 19 instances split into ranges of
+// unequal size at 3, 4 and 7 shards, and into empty ranges at 24 (from 20
+// instances on, the default budget of one restart per ten instances
+// rejuvenates every instance before it crashes, and no label ever resolves
+// to trip the detector). Under
 // -race this doubles as the step-in-worker epoch-swap concurrency guard —
 // shard workers step and predict while the background worker retrains and
 // the driver swaps the epoch pointer.
 func TestAdaptiveSerialParallelEquivalence(t *testing.T) {
-	run := func(serial bool) (report, journal []byte) {
+	run := func(shards int, serial bool) (report, journal []byte) {
 		var buf bytes.Buffer
 		jnl := obs.NewJournal(&buf)
-		cfg := adaptiveTestConfig(t, 3)
+		cfg := adaptiveTestConfig(t, shards)
+		cfg.Instances = 19
 		cfg.Journal = jnl
 		cfg.serialStep = serial
 		rep, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("Run (serial=%v): %v", serial, err)
+			t.Fatalf("Run (shards=%d serial=%v): %v", shards, serial, err)
 		}
 		if err := jnl.Close(); err != nil {
 			t.Fatalf("journal close: %v", err)
@@ -152,19 +158,29 @@ func TestAdaptiveSerialParallelEquivalence(t *testing.T) {
 		if rep.Retrains == 0 {
 			t.Fatalf("no epoch swaps; the equivalence check would be vacuous")
 		}
+		rep.Shards = 0 // the echoed shard count is the only allowed difference
 		js, err := rep.JSON()
 		if err != nil {
 			t.Fatalf("JSON: %v", err)
 		}
 		return js, buf.Bytes()
 	}
-	parRep, parJnl := run(false)
-	serRep, serJnl := run(true)
-	if !bytes.Equal(parRep, serRep) {
-		t.Errorf("adaptive parallel and serial reports differ:\n%s\nvs\n%s", parRep, serRep)
-	}
-	if !bytes.Equal(parJnl, serJnl) {
-		t.Errorf("adaptive parallel and serial journals differ:\n%s\nvs\n%s", parJnl, serJnl)
+	refRep, refJnl := run(1, false)
+	for _, c := range []struct {
+		shards int
+		serial bool
+	}{
+		{3, false}, {4, false}, {7, false}, {24, false},
+		{1, true}, {3, true}, {24, true},
+	} {
+		rep, jnl := run(c.shards, c.serial)
+		if !bytes.Equal(refRep, rep) {
+			t.Errorf("adaptive shards=%d serial=%v report differs from the 1-shard parallel reference:\n%s\nvs\n%s",
+				c.shards, c.serial, refRep, rep)
+		}
+		if !bytes.Equal(refJnl, jnl) {
+			t.Errorf("adaptive shards=%d serial=%v journal differs from the 1-shard parallel reference", c.shards, c.serial)
+		}
 	}
 }
 

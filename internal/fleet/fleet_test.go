@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -170,17 +171,19 @@ func TestRunDeterministicAcrossShardCounts(t *testing.T) {
 
 // TestJournalAndReportDeterministicAcrossEngines is the one-barrier engine's
 // full determinism pin: the JSON report AND the event journal must be
-// byte-identical across shard counts 1, 3 (ragged groups) and 4, and across
-// the parallel engine vs the retained serial-stepping reference path — the
-// original driver-stepped formulation the workers' step+merge split claims to
-// reproduce bit for bit.
+// byte-identical across shard counts and across the parallel engine vs the
+// retained serial-stepping reference path — the original driver-stepped
+// formulation the workers' step+merge split claims to reproduce bit for bit.
+// The shard counts cover even ranges (24 instances at 3 and 4 shards),
+// ranges of unequal size (23 instances at 3, 4 and 7 shards) and empty
+// ranges (more shards than instances).
 func TestJournalAndReportDeterministicAcrossEngines(t *testing.T) {
 	model := testModel(t)
-	run := func(shards int, serial bool) (report, journal []byte) {
+	run := func(instances, shards int, serial bool) (report, journal []byte) {
 		var buf bytes.Buffer
 		jnl := obs.NewJournal(&buf)
 		rep, err := Run(Config{
-			Instances:  24,
+			Instances:  instances,
 			Shards:     shards,
 			Duration:   90 * time.Minute,
 			Seed:       5,
@@ -189,7 +192,7 @@ func TestJournalAndReportDeterministicAcrossEngines(t *testing.T) {
 			serialStep: serial,
 		})
 		if err != nil {
-			t.Fatalf("Run (shards=%d serial=%v): %v", shards, serial, err)
+			t.Fatalf("Run (instances=%d shards=%d serial=%v): %v", instances, shards, serial, err)
 		}
 		if err := jnl.Close(); err != nil {
 			t.Fatalf("journal close: %v", err)
@@ -204,23 +207,23 @@ func TestJournalAndReportDeterministicAcrossEngines(t *testing.T) {
 		}
 		return js, buf.Bytes()
 	}
-	refRep, refJnl := run(1, false)
-	for _, c := range []struct {
-		name   string
-		shards int
-		serial bool
-	}{
-		{"shards-3", 3, false},
-		{"shards-4", 4, false},
-		{"serial-1", 1, true},
-		{"serial-3", 3, true},
-	} {
-		rep, jnl := run(c.shards, c.serial)
-		if !bytes.Equal(refRep, rep) {
-			t.Errorf("%s report differs from the 1-shard parallel reference:\n%s\nvs\n%s", c.name, refRep, rep)
-		}
-		if !bytes.Equal(refJnl, jnl) {
-			t.Errorf("%s journal differs from the 1-shard parallel reference", c.name)
+	for _, instances := range []int{24, 23} {
+		refRep, refJnl := run(instances, 1, false)
+		for _, c := range []struct {
+			shards int
+			serial bool
+		}{
+			{3, false}, {4, false}, {7, false}, {instances + 5, false},
+			{1, true}, {3, true}, {instances + 5, true},
+		} {
+			name := fmt.Sprintf("instances-%d/shards-%d/serial=%v", instances, c.shards, c.serial)
+			rep, jnl := run(instances, c.shards, c.serial)
+			if !bytes.Equal(refRep, rep) {
+				t.Errorf("%s report differs from the 1-shard parallel reference:\n%s\nvs\n%s", name, refRep, rep)
+			}
+			if !bytes.Equal(refJnl, jnl) {
+				t.Errorf("%s journal differs from the 1-shard parallel reference", name)
+			}
 		}
 	}
 }
@@ -460,21 +463,5 @@ func TestRunHonoursCancelledContext(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancelled run took %v to return", elapsed)
-	}
-}
-
-func TestShardAssignmentConsistent(t *testing.T) {
-	counts := make([]int, 8)
-	for id := 0; id < 4096; id++ {
-		s := shardOf(id, 8)
-		if s != shardOf(id, 8) {
-			t.Fatalf("shard assignment of %d is not stable", id)
-		}
-		counts[s%8]++
-	}
-	for s, n := range counts {
-		if n == 0 {
-			t.Fatalf("shard %d received no instances", s)
-		}
 	}
 }

@@ -66,11 +66,17 @@ type modelBatch struct {
 	ids []int // instance IDs staged this tick, in staging order
 }
 
-// pool is the sharded simulation-and-prediction engine: every instance is
-// consistently assigned to one shard (an FNV-1a hash of its ID), each shard
-// is one worker goroutine, and each instance's simulator state and session
-// are touched only by its own shard — so no locks are needed around any
-// per-instance mutable state.
+// pool is the sharded simulation-and-prediction engine: shard s of S owns
+// the contiguous instance-ID range [s·n/S, (s+1)·n/S), each shard is one
+// worker goroutine, and each instance's simulator state and session are
+// touched only by its own shard — so no locks are needed around any
+// per-instance mutable state. Contiguous ranges keep the shards off each
+// other's cache lines: the per-instance slot arrays (cps, results) and the
+// instance, session and window objects Run allocates in ID order are each
+// written by one core, except for the one line straddling each range
+// boundary. Any interleaved placement has two cores writing the same lines
+// every tick (false sharing), which made each shard ~40 % slower in
+// parallel than alone.
 //
 // The unit of dispatch is a whole shard tick: the driver publishes the
 // tick's clock (tSec/dtSec) and wakes each worker once (flush). A worker
@@ -97,12 +103,12 @@ type pool struct {
 	instances []*instance
 	// down mirrors the controller's per-instance availability; only the
 	// driver writes it (between barriers), workers read it at step time.
-	down     []bool
-	cps      []monitor.Checkpoint // per-instance checkpoint slot for the tick
-	results  []obsResult
-	shardIDs [][]int // static per-shard instance IDs, ascending
-	batches  [][]*modelBatch
-	staged   []int // per-shard count of staged instances this tick
+	down    []bool
+	cps     []monitor.Checkpoint // per-instance checkpoint slot for the tick
+	results []obsResult
+	bounds  []int // shard s owns instance IDs [bounds[s], bounds[s+1])
+	batches [][]*modelBatch
+	staged  []int // per-shard count of staged instances this tick
 
 	// tick parameters, written by the driver before flush.
 	tSec, dtSec float64
@@ -117,10 +123,10 @@ type pool struct {
 	workers sync.WaitGroup  // worker lifetime, for close
 }
 
-// newPool precomputes the static per-shard instance lists and starts one
-// worker per shard (none in serial mode). sessions[i] is instance i's private
-// per-stream state, instances[i] its private simulator state; results has one
-// slot per instance.
+// newPool splits the instance IDs into one contiguous range per shard and
+// starts one worker per shard (none in serial mode). sessions[i] is instance
+// i's private per-stream state, instances[i] its private simulator state;
+// results has one slot per instance.
 func newPool(shards int, sessions []observer, instances []*instance, serial bool) *pool {
 	p := &pool{
 		sessions:  sessions,
@@ -128,17 +134,16 @@ func newPool(shards int, sessions []observer, instances []*instance, serial bool
 		down:      make([]bool, len(sessions)),
 		cps:       make([]monitor.Checkpoint, len(sessions)),
 		results:   make([]obsResult, len(sessions)),
-		shardIDs:  make([][]int, shards),
+		bounds:    make([]int, shards+1),
 		batches:   make([][]*modelBatch, shards),
 		staged:    make([]int, shards),
 		serial:    serial,
 	}
-	// Ascending IDs per shard: the walk order within a shard never matters
-	// for determinism (independent RNG streams), but a fixed order keeps the
-	// batch layouts — and so the Record call pattern — reproducible.
-	for id := range sessions {
-		s := shardOf(id, shards)
-		p.shardIDs[s] = append(p.shardIDs[s], id)
+	// Sizes differ by at most one; with more shards than instances some
+	// ranges are empty. Placement never matters for results (independent
+	// RNG streams, ID-order merge), only for which core writes which line.
+	for s := range p.bounds {
+		p.bounds[s] = s * len(sessions) / shards
 	}
 	if serial {
 		return p
@@ -178,8 +183,9 @@ func (p *pool) shardTick(s int) {
 	// without these the compiler must conservatively reload every p field
 	// after each call.
 	instances, down, cps, results := p.instances, p.down, p.cps, p.results
+	lo, hi := p.bounds[s], p.bounds[s+1]
 	staged := 0
-	for _, id := range p.shardIDs[s] {
+	for id := lo; id < hi; id++ {
 		in := instances[id]
 		if down[id] {
 			// Down the whole interval: its users keep offering traffic that
@@ -203,7 +209,7 @@ func (p *pool) shardTick(s int) {
 			}
 		}
 		if mb == nil {
-			mb = &modelBatch{m: m, b: m.NewBatch(len(p.shardIDs[s]))}
+			mb = &modelBatch{m: m, b: m.NewBatch(hi - lo)}
 			batches = append(batches, mb)
 		}
 		if err := mb.b.Stage(sess, &cps[id]); err != nil {
@@ -249,29 +255,12 @@ func (p *pool) shardTick(s int) {
 // model m. Only reached for idle batches (an epoch retiring), so the linear
 // walk is off the steady-state path.
 func (p *pool) shardServesModel(s int, m *core.Model) bool {
-	for _, id := range p.shardIDs[s] {
+	for id := p.bounds[s]; id < p.bounds[s+1]; id++ {
 		if p.sessions[id].Session().Model() == m {
 			return true
 		}
 	}
 	return false
-}
-
-// shardOf is the consistent instance→shard assignment: a 64-bit FNV-1a hash
-// of the instance ID. Stable across runs and independent of staging order.
-func shardOf(id, shards int) int {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	x := uint64(id)
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= prime
-		x >>= 8
-	}
-	return int(h % uint64(shards))
 }
 
 // flush hands the tick to the workers, one signal per shard; the driver must
@@ -281,7 +270,7 @@ func shardOf(id, shards int) int {
 // In serial mode it runs every shard tick inline and never cancels mid-tick.
 func (p *pool) flush(ctx context.Context) bool {
 	if p.serial {
-		for s := range p.shardIDs {
+		for s := range p.batches {
 			p.shardTick(s)
 		}
 		return true

@@ -56,6 +56,48 @@ func tickPool(p *pool, tick int) {
 	p.wait()
 }
 
+// TestShardRangesPartition pins the placement the tick engine's false-sharing
+// freedom rests on: shard s owns one contiguous ascending ID range, the
+// ranges tile [0, n) with every ID owned exactly once, and their sizes differ
+// by at most one — including more shards than instances (empty ranges).
+func TestShardRangesPartition(t *testing.T) {
+	for _, c := range []struct{ n, shards int }{
+		{0, 1}, {1, 1}, {1, 4}, {3, 7}, {23, 1}, {23, 3}, {23, 4}, {23, 7},
+		{24, 4}, {500, 2}, {500, 3}, {1000, 8},
+	} {
+		p := newPool(c.shards, make([]observer, c.n), make([]*instance, c.n), true)
+		if len(p.bounds) != c.shards+1 || p.bounds[0] != 0 || p.bounds[c.shards] != c.n {
+			t.Fatalf("n=%d shards=%d: bounds %v do not span [0, %d)", c.n, c.shards, p.bounds, c.n)
+		}
+		owner := make([]int, c.n)
+		for id := range owner {
+			owner[id] = -1
+		}
+		minSize, maxSize := c.n, 0
+		for s := 0; s < c.shards; s++ {
+			lo, hi := p.bounds[s], p.bounds[s+1]
+			if hi < lo {
+				t.Fatalf("n=%d shards=%d: shard %d range [%d, %d) is descending", c.n, c.shards, s, lo, hi)
+			}
+			for id := lo; id < hi; id++ {
+				if owner[id] != -1 {
+					t.Fatalf("n=%d shards=%d: ID %d owned by shards %d and %d", c.n, c.shards, id, owner[id], s)
+				}
+				owner[id] = s
+			}
+			minSize, maxSize = min(minSize, hi-lo), max(maxSize, hi-lo)
+		}
+		for id, s := range owner {
+			if s == -1 {
+				t.Fatalf("n=%d shards=%d: ID %d owned by no shard", c.n, c.shards, id)
+			}
+		}
+		if maxSize-minSize > 1 {
+			t.Fatalf("n=%d shards=%d: range sizes span %d..%d, want a spread of at most 1", c.n, c.shards, minSize, maxSize)
+		}
+	}
+}
+
 // TestModelBatchEviction drives a single-shard pool through several model
 // "epoch swaps" and checks the per-model batch list never accumulates retired
 // epochs: a batch whose model went idle is dropped the first tick no session

@@ -58,9 +58,11 @@ const (
 	stageBurst = 32
 )
 
-// shardOf is the consistent session→shard assignment: the same 64-bit FNV-1a
-// discipline internal/fleet uses for instance→shard placement, so a session's
-// batching shard is stable for its whole connection lifetime.
+// shardOf is the consistent session→shard assignment: a 64-bit FNV-1a hash
+// of the session ID, so a session's batching shard is stable for its whole
+// connection lifetime. Sessions arrive one at a time with IDs not known in
+// advance, so there is no ID range to split into contiguous shards the way
+// the fleet splits its instances.
 func shardOf(id uint64, shards int) int {
 	const (
 		offset = 14695981039346656037

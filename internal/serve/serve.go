@@ -96,8 +96,8 @@ type Config struct {
 	// (0 = DefaultBatchWindow). Ignored when Batch is 0.
 	BatchWindow time.Duration
 	// BatchShards is the number of independent batching shards; sessions are
-	// assigned by FNV-1a hash of their session ID, the fleet's shard
-	// discipline (0 = GOMAXPROCS). Ignored when Batch is 0.
+	// assigned by FNV-1a hash of their session ID (0 = GOMAXPROCS).
+	// Ignored when Batch is 0.
 	BatchShards int
 }
 
